@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"ppaassembler/internal/core"
+	"ppaassembler/internal/dna"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/scaffold"
@@ -154,9 +155,8 @@ func main() {
 }
 
 func run(o cliOpts) error {
-	// Validate flag combinations before any work is done or output written.
-	if o.resume && o.checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint (there is nothing to resume from in-memory checkpoints)")
+	if err := validateFlags(o); err != nil {
+		return err
 	}
 	obs, err := openObservability(o)
 	if err != nil {
@@ -173,6 +173,37 @@ func run(o cliOpts) error {
 		err = ferr
 	}
 	return err
+}
+
+// validateFlags rejects flag values and combinations that are wrong
+// whatever the input, so they fail before any input is read or output
+// written rather than deep inside an op.
+func validateFlags(o cliOpts) error {
+	if err := dna.ValidK(o.k); err != nil {
+		return fmt.Errorf("-k: %w", err)
+	}
+	if o.workers <= 0 {
+		return fmt.Errorf("-workers must be positive, got %d", o.workers)
+	}
+	if o.rounds < 1 || o.rounds > 2 {
+		return fmt.Errorf("-rounds must be 1 or 2, got %d", o.rounds)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-tip", float64(o.tip)}, {"-editdist", float64(o.editDist)}, {"-minlen", float64(o.minLen)},
+		{"-insert", o.insert}, {"-insertsd", o.insertSD}, {"-minsupport", float64(o.minSupport)},
+		{"-scafminlen", float64(o.scafMinLen)}, {"-ckpt-every", float64(o.ckptEvery)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
+	}
+	if o.resume && o.checkpoint == "" {
+		return fmt.Errorf("-resume requires -checkpoint (there is nothing to resume from in-memory checkpoints)")
+	}
+	return nil
 }
 
 func runCanned(o cliOpts, obs *observability) error {

@@ -351,6 +351,45 @@ func TestCLIRejectsResumeWithoutDir(t *testing.T) {
 	}
 }
 
+// TestCLIValidatesFlagsBeforeInput: a flag value that is wrong whatever the
+// input is reported first, ahead of a missing input file, and with a real
+// input before any op runs or output is written.
+func TestCLIValidatesFlagsBeforeInput(t *testing.T) {
+	dir := t.TempDir()
+	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGT"})
+	for _, tc := range []struct {
+		name string
+		edit func(*cliOpts)
+		want string
+	}{
+		{"k too large", func(o *cliOpts) { o.k = 200 }, "k=200 out of range"},
+		{"k even", func(o *cliOpts) { o.k = 20 }, "must be odd"},
+		{"workflow k", func(o *cliOpts) { o.k = 200; o.workflow = "build,label,merge,fasta" }, "k=200 out of range"},
+		{"workers", func(o *cliOpts) { o.workers = 0 }, "-workers must be positive"},
+		{"rounds", func(o *cliOpts) { o.rounds = 3 }, "-rounds must be 1 or 2"},
+		{"tip", func(o *cliOpts) { o.tip = -1 }, "-tip must not be negative"},
+		{"insert", func(o *cliOpts) { o.insert = -650 }, "-insert must not be negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, input := range []string{filepath.Join(dir, "nonexistent.fq"), in} {
+				out := filepath.Join(dir, "out.fasta")
+				o := defaultOpts(input, out)
+				o.trace = filepath.Join(dir, "trace.jsonl")
+				tc.edit(&o)
+				err := run(o)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("input %s: err = %v, want it to mention %q", input, err, tc.want)
+				}
+				for _, f := range []string{out, o.trace} {
+					if _, err := os.Stat(f); !os.IsNotExist(err) {
+						t.Errorf("%s was written despite the flag error", f)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCLIRejectsBadFaultPlan: a malformed -faultplan fails fast.
 func TestCLIRejectsBadFaultPlan(t *testing.T) {
 	dir := t.TempDir()

@@ -205,6 +205,39 @@ func BenchmarkMapReduceShuffle(b *testing.B) {
 	}
 }
 
+// BenchmarkMapReduceKmerShape measures the mini-MapReduce on the shape of
+// DBG construction's (k+1)-mer counting job: 200k pairs over mostly
+// distinct, well-mixed uint64 keys (every fourth pair repeats an earlier
+// key, so groups hold one or two values), emitted by 2 mappers. Unlike
+// BenchmarkMapReduceShuffle's 997 keys, the reduce-side sort dominates.
+func BenchmarkMapReduceKmerShape(b *testing.B) {
+	const n = 200_000
+	items := make([]uint64, n)
+	for i := range items {
+		j := i
+		if i%4 == 3 {
+			j = i - 3 // a repeat of an earlier key
+		}
+		items[i] = Uint64Hash(uint64(j))
+	}
+	shards := ShardSlice(items, 2)
+	clock := NewSimClock(DefaultCost())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _ := MapReduce(
+			clock, 2, 12, shards,
+			func(w int, item uint64, emit func(uint64, uint32)) { emit(item, 1) },
+			func(k uint64) uint64 { return k },
+			func(a, c uint64) bool { return a < c },
+			func(w int, key uint64, vals []uint32, emit func(uint64)) { emit(uint64(len(vals))) },
+		)
+		if len(out[0])+len(out[1]) != n-n/4 {
+			b.Fatal("wrong group count")
+		}
+	}
+}
+
 // BenchmarkCombinerWin shows the traffic reduction from a sum combiner on
 // an all-to-one pattern.
 func BenchmarkCombinerWin(b *testing.B) {

@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"ppaassembler/internal/telemetry"
@@ -19,6 +21,11 @@ import (
 // Partitioner; see MRConfig), sorted by key with keyLess,
 // grouped, and reduced; reduce output stays on the reducing worker (which is
 // how contigs acquire their (worker, ordinal) IDs in op ③).
+//
+// Order contract: each reducer reduces its groups in ascending keyLess
+// order, and a group's values arrive in (source worker ascending, emission
+// order) — what a stable sort of the concatenated lanes gives — whether or
+// not MRConfig.Parallel is set.
 //
 // Cost: the clock is charged one shuffle round — barrier latency + slowest
 // mapper + most-loaded link — and one reduce round. pairBytes is the charged
@@ -256,25 +263,40 @@ func MapReduceCfg[I, K, V, O any](
 		for s := 0; s < workers; s++ {
 			total += len(buckets[s][d])
 		}
-		pairs := make([]pair, 0, total)
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("pregel: MapReduce %s: %d pairs for one reducer exceed the arrival index", name, total))
+		}
+		arena := make([]arrival[K, V], 0, total)
 		for s := 0; s < workers; s++ {
-			pairs = append(pairs, buckets[s][d]...)
+			for _, p := range buckets[s][d] {
+				arena = append(arena, arrival[K, V]{p.k, p.v, int32(len(arena))})
+			}
 			buckets[s][d] = nil
 		}
 		start := nowNs()
-		sort.SliceStable(pairs, func(a, b int) bool { return keyLess(pairs[a].k, pairs[b].k) })
-		vals := make([]V, len(pairs))
-		for i, p := range pairs {
-			vals[i] = p.v
+		slices.SortFunc(arena, func(a, b arrival[K, V]) int {
+			if keyLess(a.k, b.k) {
+				return -1
+			}
+			if keyLess(b.k, a.k) {
+				return 1
+			}
+			return cmp.Compare(a.i, b.i)
+		})
+		vals := make([]V, len(arena))
+		for i := range arena {
+			vals[i] = arena[i].v
 		}
 		emit := func(o O) { out[d] = append(out[d], o) }
 		i := 0
-		for i < len(pairs) {
+		for i < len(arena) {
+			// The arena is sorted, so a later key equals arena[i].k
+			// exactly when it is not greater.
 			j := i + 1
-			for j < len(pairs) && !keyLess(pairs[i].k, pairs[j].k) && !keyLess(pairs[j].k, pairs[i].k) {
+			for j < len(arena) && !keyLess(arena[i].k, arena[j].k) {
 				j++
 			}
-			reduceFn(d, pairs[i].k, vals[i:j], emit)
+			reduceFn(d, arena[i].k, vals[i:j], emit)
 			i = j
 		}
 		redNs[d] = float64(nowNs() - start)
@@ -302,6 +324,16 @@ func MapReduceCfg[I, K, V, O any](
 			telemetry.I("pairs", stats.Messages))
 	}
 	return out, stats
+}
+
+// arrival is one shuffled pair in a reducer's arena, tagged with its arrival
+// index: its position when the source lanes are concatenated in source
+// worker order, each lane in emission order. Sorting by (key, arrival)
+// gives the same order as a stable sort by key.
+type arrival[K, V any] struct {
+	k K
+	v V
+	i int32
 }
 
 // forEachWorker runs fn(w) for every worker index, on one goroutine per

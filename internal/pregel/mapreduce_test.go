@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -85,27 +86,70 @@ func TestMapReduceGroupsAllValuesForKey(t *testing.T) {
 	}
 }
 
+// TestMapReduceDeterministicValueOrder pins the value-order contract that
+// order-sensitive reducers (the scaffold links reducer's float sums)
+// depend on: a
+// group's values arrive in (source worker ascending, emission order), and
+// each reducer sees its groups in ascending key order. The expected order
+// is rebuilt here by replaying the map function per worker, independently
+// of the engine's shuffle and sort.
 func TestMapReduceDeterministicValueOrder(t *testing.T) {
-	// Values within a group arrive in (source worker, emission order),
-	// which must be stable across runs.
-	input := ShardSlice([]int{5, 1, 9, 3, 7, 2, 8}, 3)
-	run := func() []int {
-		out, _ := MapReduce(
-			NewSimClock(DefaultCost()), 3, 8, input,
-			func(w int, item int, emit func(uint64, int)) { emit(0, item) },
+	const workers, items, keys = 5, 3000, 400
+	type val struct{ src, item, j int }
+	// Item i emits 1–3 pairs over 400 keys (duplicates galore, from every
+	// worker); every 97th item also emits a key no other item uses.
+	emits := func(i int, emit func(uint64, int)) {
+		r := rand.New(rand.NewSource(int64(i)))
+		for j, n := 0, 1+r.Intn(3); j < n; j++ {
+			emit(uint64(r.Intn(keys)), j)
+		}
+		if i%97 == 0 {
+			emit(uint64(keys+i), 9)
+		}
+	}
+	input := make([]int, items)
+	for i := range input {
+		input[i] = i
+	}
+	shards := ShardSlice(input, workers)
+	want := map[uint64][]val{}
+	for w, shard := range shards {
+		for _, i := range shard {
+			emits(i, func(k uint64, j int) { want[k] = append(want[k], val{w, i, j}) })
+		}
+	}
+	type group struct {
+		key  uint64
+		vals []val
+	}
+	for _, parallel := range []bool{false, true} {
+		out, _ := MapReduceCfg(
+			NewSimClock(DefaultCost()), MRConfig{Workers: workers, Parallel: parallel}, shards,
+			func(w int, i int, emit func(uint64, val)) {
+				emits(i, func(k uint64, j int) { emit(k, val{w, i, j}) })
+			},
 			Uint64Hash, lessU64,
-			func(w int, key uint64, vals []int, emit func(int)) {
-				for _, v := range vals {
-					emit(v)
-				}
+			func(w int, key uint64, vals []val, emit func(group)) {
+				emit(group{key, append([]val(nil), vals...)})
 			},
 		)
-		return Flatten(out)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic value order: %v vs %v", a, b)
+		seen := 0
+		for d, groups := range out {
+			for gi, g := range groups {
+				if gi > 0 && groups[gi-1].key >= g.key {
+					t.Fatalf("parallel=%v: reducer %d emitted key %d after %d", parallel, d, g.key, groups[gi-1].key)
+				}
+				if home := int(Uint64Hash(g.key) % workers); home != d {
+					t.Fatalf("parallel=%v: key %d reduced on worker %d, want %d", parallel, g.key, d, home)
+				}
+				if !reflect.DeepEqual(g.vals, want[g.key]) {
+					t.Fatalf("parallel=%v: key %d values\n got %v\nwant %v", parallel, g.key, g.vals, want[g.key])
+				}
+				seen++
+			}
+		}
+		if seen != len(want) {
+			t.Fatalf("parallel=%v: %d groups reduced, want %d", parallel, seen, len(want))
 		}
 	}
 }

@@ -75,6 +75,7 @@ func bundleLinks(ix *contigIndex, pairs []Pair, opt Options, clock *pregel.SimCl
 	shards := pregel.ShardSlice(pairs, opt.Workers)
 	type pairCounts struct{ placed, sameContig, linking int }
 	counts := make([]pairCounts, opt.Workers)
+	votes := make([][]uint64, opt.Workers) // per map worker place scratch
 	out, st := pregel.MapReduceCfg(
 		clock, pregel.MRConfig{
 			Workers: opt.Workers, PairBytes: 24, Parallel: opt.Parallel, Faults: opt.Faults,
@@ -82,8 +83,8 @@ func bundleLinks(ix *contigIndex, pairs []Pair, opt Options, clock *pregel.SimCl
 		},
 		shards, // 24 ≈ key + span on the wire
 		func(w int, p Pair, emit func(linkKey, float64)) {
-			p1, ok1 := ix.place(p.R1)
-			p2, ok2 := ix.place(p.R2)
+			p1, ok1 := ix.place(p.R1, &votes[w])
+			p2, ok2 := ix.place(p.R2, &votes[w])
 			if !ok1 || !ok2 {
 				return
 			}

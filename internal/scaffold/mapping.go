@@ -1,6 +1,7 @@
 package scaffold
 
 import (
+	"slices"
 	"time"
 
 	"ppaassembler/internal/dna"
@@ -57,18 +58,18 @@ type placement struct {
 // at the locus with strictly the most votes. Ties mean a repeat-ambiguous
 // placement and leave the read unplaced, exactly as read mappers discard
 // multi-mapping mates before scaffolding.
-func (ix *contigIndex) place(read string) (placement, bool) {
+//
+// votes is the caller's scratch buffer, reused across calls so that voting
+// allocates nothing once it has grown; concurrent callers (map workers)
+// each need their own. The votes are packed loci (see packLocus), counted
+// by sorting them and measuring runs.
+func (ix *contigIndex) place(read string, votes *[]uint64) (placement, bool) {
 	s := ix.s
 	rl := len(read)
 	if rl < s {
 		return placement{}, false
 	}
-	type locus struct {
-		contig int32
-		pos    int32
-		fwd    bool
-	}
-	votes := map[locus]int32{}
+	vs := (*votes)[:0]
 	mask := dna.KmerMask(s)
 	var fv, rv uint64
 	run := 0
@@ -85,36 +86,51 @@ func (ix *contigIndex) place(read string) (placement, bool) {
 		}
 		o := int32(i - s + 1) // window offset within the read
 		for _, sp := range ix.seeds[fv] {
-			votes[locus{sp.contig, sp.pos - o, true}]++
+			vs = append(vs, packLocus(placement{sp.contig, sp.pos - o, true}))
 		}
 		// A reverse-strand read R satisfies R == RC(contig[q : q+rl]); its
 		// window at offset o appears reverse-complemented on the contig at
 		// position q + rl - s - o.
 		for _, sp := range ix.seeds[rv] {
-			votes[locus{sp.contig, sp.pos - (int32(rl) - int32(s) - o), false}]++
+			vs = append(vs, packLocus(placement{sp.contig, sp.pos - (int32(rl) - int32(s) - o), false}))
 		}
 	}
-	var maxV int32
-	for _, v := range votes {
-		if v > maxV {
-			maxV = v
+	*votes = vs
+	slices.Sort(vs)
+	var best uint64
+	maxV, n := 0, 0 // the largest run and how many runs reach it
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j] == vs[i] {
+			j++
 		}
-	}
-	if maxV == 0 {
-		return placement{}, false
-	}
-	var best locus
-	n := 0
-	for l, v := range votes {
-		if v == maxV {
-			best = l
+		switch c := j - i; {
+		case c > maxV:
+			best, maxV, n = vs[i], c, 1
+		case c == maxV:
 			n++
 		}
+		i = j
 	}
 	if n != 1 {
 		return placement{}, false
 	}
-	return placement{contig: best.contig, pos: best.pos, fwd: best.fwd}, true
+	return unpackLocus(best), true
+}
+
+// packLocus packs a vote's locus into one word, losslessly, so that equal
+// words are equal loci: the contig index (never negative) in the top 31
+// bits, the position's 32 bits below it, and the strand in the lowest bit.
+func packLocus(p placement) uint64 {
+	v := uint64(uint32(p.contig))<<33 | uint64(uint32(p.pos))<<1
+	if p.fwd {
+		v |= 1
+	}
+	return v
+}
+
+func unpackLocus(v uint64) placement {
+	return placement{contig: int32(v >> 33), pos: int32(uint32(v >> 1)), fwd: v&1 == 1}
 }
 
 // endpoint converts a mate placement into the contig end the mate's partner

@@ -51,23 +51,23 @@ func TestPlaceMate(t *testing.T) {
 	ix := buildIndex(contigs, []bool{true}, 21, pregel.NewSimClock(pregel.CostModel{}))
 
 	fwd := ref.Slice(300, 380).String()
-	p, ok := ix.place(fwd)
+	p, ok := ix.place(fwd, new([]uint64))
 	if !ok || !p.fwd || p.pos != 300 || p.contig != 0 {
 		t.Errorf("forward placement = %+v ok=%v, want pos 300 fwd", p, ok)
 	}
 	rev := ref.Slice(500, 580).ReverseComplement().String()
-	p, ok = ix.place(rev)
+	p, ok = ix.place(rev, new([]uint64))
 	if !ok || p.fwd || p.pos != 500 {
 		t.Errorf("reverse placement = %+v ok=%v, want pos 500 rev", p, ok)
 	}
 	// A read with one error still places by majority vote.
 	mut := []byte(fwd)
 	mut[40] = "ACGT"[(strings.IndexByte("ACGT", mut[40])+1)%4]
-	p, ok = ix.place(string(mut))
+	p, ok = ix.place(string(mut), new([]uint64))
 	if !ok || p.pos != 300 {
 		t.Errorf("mutated placement = %+v ok=%v", p, ok)
 	}
-	if _, ok := ix.place("ACGTACGTACGT"); ok {
+	if _, ok := ix.place("ACGTACGTACGT", new([]uint64)); ok {
 		t.Error("read shorter than the seed placed")
 	}
 }
@@ -80,10 +80,10 @@ func TestPlaceMateRepeatAmbiguity(t *testing.T) {
 	c2 := ref.Slice(500, 800).Concat(block)
 	contigs := FromSeqs([]dna.Seq{c1, c2})
 	ix := buildIndex(contigs, []bool{true, true}, 21, pregel.NewSimClock(pregel.CostModel{}))
-	if _, ok := ix.place(block.Slice(50, 150).String()); ok {
+	if _, ok := ix.place(block.Slice(50, 150).String(), new([]uint64)); ok {
 		t.Error("read from a two-copy repeat placed uniquely")
 	}
-	if p, ok := ix.place(ref.Slice(350, 450).String()); !ok || p.contig != 0 {
+	if p, ok := ix.place(ref.Slice(350, 450).String(), new([]uint64)); !ok || p.contig != 0 {
 		t.Errorf("unique read misplaced: %+v ok=%v", p, ok)
 	}
 }
